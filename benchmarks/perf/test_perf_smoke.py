@@ -3,7 +3,9 @@
 Excluded from tier-1 (the default test paths don't collect ``benchmarks/``
 and the ``perf`` marker keeps it opt-in even when this directory is given
 explicitly).  Asserts the harness's --quick mode finishes fast and emits
-well-formed JSON — it does not assert any speedup, since CI machines vary.
+well-formed JSON — it does not assert any absolute speed, since CI machines
+vary.  The two speed guards here are same-process ratios, where machine
+drift cancels out: the fleet 2x guard and the urban-vs-highway World guard.
 """
 
 import json
@@ -19,6 +21,7 @@ pytestmark = pytest.mark.perf
 REPO_ROOT = Path(__file__).resolve().parents[2]
 HARNESS = Path(__file__).parent / "bench_channel.py"
 FLEET_HARNESS = Path(__file__).parent / "bench_fleet.py"
+BUDGETS = json.loads((Path(__file__).parent / "PERF_BUDGETS.json").read_text())
 
 
 def test_quick_harness_emits_valid_json_under_30s(tmp_path):
@@ -135,3 +138,38 @@ def test_quick_fleet_harness_emits_valid_json_under_60s(tmp_path):
     scale = report["world_scale_run"]
     assert scale["n_nodes"] > 1000
     assert scale["beacons_sent"] > 0
+
+
+def _best_world_wall_s(config, reps=3):
+    """Best-of-``reps`` wall seconds to build and run one attacked World."""
+    from repro.experiments.world import World
+
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        World(config, attacked=True).run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_urban_world_wall_time_within_ratio_of_highway():
+    """Shadowing guard: an urban World must cost about what a highway one
+    does.  Every in-range link of an urban run goes through the Manhattan
+    shadowing predicate; when that per-link check ran through numpy the
+    3 s urban run below cost ~40x the highway one, with the plain-Python
+    predicate under 2x.  Both sides come from this process, so the ratio is
+    immune to runner speed."""
+    from repro.experiments.config import ExperimentConfig
+
+    max_ratio = BUDGETS["urban"]["max_wall_ratio_vs_highway"]
+    urban = _best_world_wall_s(
+        ExperimentConfig.intra_area_default(duration=3.0, seed=7).urbanized()
+    )
+    highway = _best_world_wall_s(
+        ExperimentConfig.inter_area_default(duration=3.0, seed=7)
+    )
+    assert urban <= max_ratio * highway, (
+        f"urban World took {urban:.2f}s, {urban / highway:.1f}x the highway "
+        f"World's {highway:.2f}s (budget {max_ratio}x; ratchet in "
+        "PERF_BUDGETS.json)"
+    )

@@ -419,7 +419,10 @@ class BroadcastChannel:
         self, tx_position: Position, receiver: RadioInterface
     ) -> bool:
         """Public obstruction check for a single (tx position, receiver) link."""
-        return self._is_blocked(tx_position, receiver)
+        if not self._obstructions:
+            return False
+        rx_position = receiver.get_position()
+        return any(blocks(tx_position, rx_position) for blocks in self._obstructions)
 
     def block_mask(self, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
         """Vectorised obstruction check over parallel link-endpoint arrays.
@@ -606,7 +609,10 @@ class BroadcastChannel:
         self.stats.receiver_candidates += len(candidates)
         candidates.sort()
         dest_addr = frame.dest_addr
-        check_blocked = self._is_blocked if self._obstructions else None
+        # Bound once per frame.  None when no obstruction is registered
+        # (every highway run), so a candidate then costs one identity test.
+        obstructions = self._obstructions or None
+        tx_position = frame.tx_position
         receivers: List[RadioInterface] = []
         append = receivers.append
         for (_order, iface), d_sq in candidates:
@@ -618,10 +624,15 @@ class BroadcastChannel:
             if dest_addr is not None:
                 if iface.address != dest_addr and not iface.promiscuous:
                     continue
-            if check_blocked is not None and check_blocked(
-                frame.tx_position, iface
-            ):
-                continue
+            if obstructions is not None:
+                rx_position = iface.get_position()
+                blocked = False
+                for blocks in obstructions:
+                    if blocks(tx_position, rx_position):
+                        blocked = True
+                        break
+                if blocked:
+                    continue
             append(iface)
         return receivers
 
@@ -673,9 +684,3 @@ class BroadcastChannel:
             if bool(((dx * dx + dy * dy) <= ranges * ranges).any()):
                 return True
         return False
-
-    def _is_blocked(self, tx_position: Position, receiver: RadioInterface) -> bool:
-        if not self._obstructions:
-            return False
-        rx_position = receiver.get_position()
-        return any(blocks(tx_position, rx_position) for blocks in self._obstructions)

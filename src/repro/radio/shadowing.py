@@ -22,9 +22,20 @@ the channel's range/fading model instead of replacing it; Amador et al.
 (arXiv 2403.16237) use the same corridor-or-corner approximation for
 urban GeoNetworking studies.
 
-The predicate also implements the vectorised ``blocks_many`` protocol, so
-the batched fleet path evaluates it with a handful of numpy passes per
-tick instead of per-pair Python calls.
+The predicate has two forms of one rule:
+
+* ``__call__(a, b)`` is the numpy-free per-link hook.  The per-receiver
+  transmit path calls it once per in-range candidate, so it runs in plain
+  Python over the street tuples and stops at the first corridor or corner
+  that clears the link.
+* ``blocks_many(tx_x, tx_y, rx_x, rx_y)`` is the batched form and the
+  reference definition.
+  :meth:`~repro.radio.channel.BroadcastChannel.block_mask` and the fleet
+  tick use it to evaluate a whole sweep with a handful of numpy passes.
+
+Both evaluate the same float expressions, so they agree bit for bit;
+``tests/properties/test_shadowing_properties.py`` pins them together,
+including points exactly on corridor edges and clearance circles.
 """
 
 from __future__ import annotations
@@ -96,15 +107,48 @@ class ManhattanShadowing:
     # predicate protocol
     # ------------------------------------------------------------------
     def __call__(self, a: Position, b: Position) -> bool:
-        """True when the link a<->b is blocked (the channel-hook contract)."""
-        return bool(
-            self.blocks_many(
-                np.array([a.x]), np.array([a.y]), np.array([b.x]), np.array([b.y])
-            )[0]
-        )
+        """True when the link a<->b is blocked (the channel-hook contract).
+
+        The numpy-free per-link form of :meth:`blocks_many`: the same float
+        expressions on Python floats, so the answer is bit-identical, but
+        it returns as soon as a shared corridor or corner disc clears the
+        link.
+        """
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        hw = self.half_width
+        for sy in self.street_ys:
+            if abs(ay - sy) <= hw and abs(by - sy) <= hw:
+                return False
+        for sx in self.street_xs:
+            if abs(ax - sx) <= hw and abs(bx - sx) <= hw:
+                return False
+        clearance = self.corner_clearance
+        if clearance > 0.0:
+            c_sq = clearance * clearance
+            for sx in self.street_xs:
+                adx = ax - sx
+                bdx = bx - sx
+                # Exact pruning: a rounded sum of non-negative squares is
+                # never below either term, so a column whose x offset alone
+                # exceeds the clearance cannot clear the link.
+                if adx * adx > c_sq or bdx * bdx > c_sq:
+                    continue
+                for sy in self.street_ys:
+                    ady = ay - sy
+                    bdy = by - sy
+                    if (
+                        adx * adx + ady * ady <= c_sq
+                        and bdx * bdx + bdy * bdy <= c_sq
+                    ):
+                        return False
+        return True
 
     def blocks_many(self, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-        """Vectorised blocked-mask over parallel link-endpoint arrays."""
+        """Vectorised blocked-mask over parallel link-endpoint arrays.
+
+        This is the reference definition of the rule; :meth:`__call__`
+        must agree with it elementwise (pinned by a property test).
+        """
         tx_x = np.asarray(tx_x, dtype=float)
         tx_y = np.asarray(tx_y, dtype=float)
         rx_x = np.asarray(rx_x, dtype=float)

@@ -57,11 +57,21 @@ def main():
     inter = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
     intra = ExperimentConfig.intra_area_default(duration=20.0, seed=7)
     lossy = inter.with_(channel_loss_rate=0.05)
+    # Urban entries run the default per-receiver path, where every in-range
+    # link goes through the Manhattan shadowing predicate.
+    urban_intra = ExperimentConfig.intra_area_default(
+        duration=10.0, seed=7
+    ).urbanized()
+    urban_inter = ExperimentConfig.inter_area_default(
+        duration=10.0, seed=7
+    ).urbanized()
     print("GOLDEN = {")
     describe("inter-af", inter, False)
     describe("inter-atk", inter, True)
     describe("intra-atk", intra, True)
     describe("lossy-af", lossy, False)
+    describe("urban-intra-atk", urban_intra, True)
+    describe("urban-inter-atk", urban_inter, True)
     print("}")
 
 

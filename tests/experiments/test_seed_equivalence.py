@@ -7,6 +7,11 @@ full-precision field of every :class:`PacketOutcome`, so they only
 reproduce if the grid-backed channel preserves the exact delivery order
 and RNG draw order of the original implementation — the core
 correctness contract of this optimisation.
+
+The two ``urban-*`` entries were captured the same way, from the
+numpy-per-link Manhattan shadowing predicate, before it became plain
+Python.  Every in-range link of an urban run goes through that
+predicate, so they pin the rewrite as bit-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +55,22 @@ GOLDEN = {
         "frames_delivered": 97880,
         "unicast_lost": 4,
     },
+    "urban-intra-atk": {
+        "digest": "eacb8798c4276b467928f5fb5aefb5419d22e707a4bafe2f9cb12e33c3e6196c",
+        "n_packets": 9,
+        "overall_rate": 0.6776510636285598,
+        "frames_sent": 952,
+        "frames_delivered": 29072,
+        "unicast_lost": 0,
+    },
+    "urban-inter-atk": {
+        "digest": "bc6445949d726ee8e1718ec5f44cc6c7457a950c18631acdb70aefe7ea0e4491",
+        "n_packets": 9,
+        "overall_rate": 0.2222222222222222,
+        "frames_sent": 925,
+        "frames_delivered": 27078,
+        "unicast_lost": 7,
+    },
 }
 
 
@@ -57,11 +78,19 @@ def _configs():
     inter = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
     intra = ExperimentConfig.intra_area_default(duration=20.0, seed=7)
     lossy = inter.with_(channel_loss_rate=0.05)
+    urban_intra = ExperimentConfig.intra_area_default(
+        duration=10.0, seed=7
+    ).urbanized()
+    urban_inter = ExperimentConfig.inter_area_default(
+        duration=10.0, seed=7
+    ).urbanized()
     return {
         "inter-af": (inter, False),
         "inter-atk": (inter, True),
         "intra-atk": (intra, True),
         "lossy-af": (lossy, False),
+        "urban-intra-atk": (urban_intra, True),
+        "urban-inter-atk": (urban_inter, True),
     }
 
 

@@ -243,6 +243,42 @@ def test_loss_rate_fades_fleet_deliveries():
     assert channel.stats.frames_delivered == lossy
 
 
+class BlockEverything:
+    """An obstruction that blocks every link, in both predicate forms."""
+
+    def __call__(self, a, b):
+        return True
+
+    def blocks_many(self, tx_x, tx_y, rx_x, rx_y):
+        return np.ones(len(tx_x), dtype=bool)
+
+
+def test_blocked_links_are_neither_faded_nor_faulted():
+    # Obstructions filter a link before the fading draw and the link fault
+    # hook on the batched path too, for fleet and non-fleet receivers alike,
+    # as the per-receiver path filters them at candidate stage.
+    positions = [(float(i * 30), 0.0) for i in range(20)]
+    sim, channel, fleet, members = build_fleet(positions)
+    sniffed = []
+    mast = RadioInterface(
+        lambda: Position(300.0, -10.0), 10.0, link_range=400.0, promiscuous=True
+    )
+    mast.attach(sniffed.append)
+    channel.register(mast)
+    channel.loss_rate = 0.5
+    channel.add_obstruction(BlockEverything())
+    faulted = []
+    channel.link_fault = lambda sender, receiver, frame: faulted.append(frame)
+    scheduler = make_scheduler(sim, fleet, channel)
+    sim.run_until(10.0)
+    assert scheduler.beacons_sent > 0
+    assert channel.stats.frames_faded == 0
+    assert faulted == []
+    assert channel.stats.frames_delivered == 0
+    assert sniffed == []
+    assert all(m.received == [] for m in members)
+
+
 def test_make_beacon_returning_none_suppresses():
     sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
     muted = members[0]
