@@ -6,8 +6,10 @@ explicitly).  Asserts the harness's --quick mode finishes fast and emits
 well-formed JSON — it does not assert any absolute speed, since CI machines
 vary.  The two speed guards here are same-process ratios, where machine
 drift cancels out: the fleet 2x guard and the urban-vs-highway World guard.
+The fleet allocation guard counts objects, so it is deterministic.
 """
 
+import gc
 import json
 import subprocess
 import sys
@@ -172,4 +174,40 @@ def test_urban_world_wall_time_within_ratio_of_highway():
         f"urban World took {urban:.2f}s, {urban / highway:.1f}x the highway "
         f"World's {highway:.2f}s (budget {max_ratio}x; ratchet in "
         "PERF_BUDGETS.json)"
+    )
+
+
+def test_fleet_world_allocates_no_object_per_loct_entry():
+    """Allocation guard: location tables are columns, not one heap object
+    per (receiver, neighbour) pair.  When every entry was an object, a
+    batched 10k-node highway held ~1.3M of them and the cyclic collector
+    spent half the run re-walking them; growth of GC-tracked objects over
+    ``World.run`` then came to ~1.0 per stored entry, against ~0.03 with
+    the columnar table.  Object counts do not depend on machine speed."""
+    from repro.experiments.config import ExperimentConfig, RoadConfig
+    from repro.experiments.world import World
+
+    max_per_entry = BUDGETS["fleet"]["max_tracked_objects_per_loct_entry"]
+    #: 15 km, two lanes each way at 30 m spacing: about 2,000 vehicles.
+    road = RoadConfig(
+        length=15_000.0, lanes_per_direction=2, directions=2,
+        inter_vehicle_space=30.0, spawn=False,
+    )
+    config = ExperimentConfig.inter_area_default(
+        duration=3.0, seed=7, road=road, fleet_use_batched=True
+    )
+    world = World(config, attacked=False)
+    gc.collect()
+    before = len(gc.get_objects())
+    world.run()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    nodes = list(world.nodes.values()) + list(world.dest_nodes)
+    assert len(nodes) > 1900
+    entries = sum(len(node.router.loct) for node in nodes)
+    assert entries > 10 * len(nodes)  # everyone heard its neighbours
+    assert grown <= max_per_entry * entries, (
+        f"World.run grew {grown} tracked objects for {entries} LocT entries "
+        f"({grown / entries:.2f} per entry; budget {max_per_entry}, ratchet "
+        "in PERF_BUDGETS.json)"
     )

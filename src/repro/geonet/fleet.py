@@ -460,12 +460,12 @@ class FleetBeaconScheduler:
         frames: List[Optional[Frame]] = [None] * n_sent
         if channel.link_fault is not None and sidx.size:
             sidx, rslots = self._slow_pair_filter(sidx, rslots, payloads, frames)
-        groups = self._group_by_receiver(sidx, rslots, entries)
-        if groups:
+        if sidx.size:
             latency = channel.base_latency + channel.latency_jitter * float(
                 self._rng.random()
             )
-            self._sim.schedule_fire(latency, self._deliver_groups, groups)
+            groups = self._group_by_receiver(sidx, rslots)
+            self._sim.schedule_fire(latency, self._deliver_groups, *groups, entries)
 
         # --- non-fleet receivers: real frames through normal delivery ---
         self._deliver_nonfleet(
@@ -524,30 +524,27 @@ class FleetBeaconScheduler:
                 keep[k] = False
         return sidx[keep], rslots[keep]
 
-    def _group_by_receiver(self, sidx, rslots, entries):
-        """Group pairs into ``(member, [entry, ...])`` per receiver."""
-        if sidx.size == 0:
-            return []
+    def _group_by_receiver(self, sidx, rslots):
+        """Flat ``(receivers, bounds, senders)``: receiver ``g`` (its member
+        captured at tick time) hears the entries of
+        ``senders[bounds[g]:bounds[g + 1]]``.  Batches are built only at
+        delivery, so no per-receiver list outlives the latency gap."""
         order = np.argsort(rslots, kind="stable")
         rs = rslots[order]
-        ss = sidx[order].tolist()
-        bounds = np.flatnonzero(rs[1:] != rs[:-1]) + 1
-        starts = np.concatenate(([0], bounds)).tolist()
-        ends = np.concatenate((bounds, [rs.size])).tolist()
-        heads = rs[np.concatenate(([0], bounds))].tolist()
+        cuts = np.flatnonzero(rs[1:] != rs[:-1]) + 1
         members = self._fleet.members
-        groups = []
-        for slot, a, b in zip(heads, starts, ends):
-            batch = [entries[i] for i in ss[a:b]]
-            groups.append((members[slot], batch))
-        return groups
+        receivers = [members[s] for s in rs[np.concatenate(([0], cuts))].tolist()]
+        bounds = [0, *cuts.tolist(), int(rs.size)]
+        return receivers, bounds, sidx[order].tolist()
 
-    def _deliver_groups(self, groups) -> None:
+    def _deliver_groups(self, receivers, bounds, senders, entries) -> None:
         """The single delivery event for one tick's fleet beacons."""
         sink = self._bulk_sink
         now = self._sim.now
+        ordered = [entries[i] for i in senders]
         delivered = 0
-        for member, batch in groups:
+        for member, a, b in zip(receivers, bounds, bounds[1:]):
+            batch = ordered[a:b]
             accepted = sink(member, batch, now)
             delivered += len(batch) if accepted is None else int(accepted)
         self._channel.stats.record_delivered(FrameKind.BEACON, delivered)

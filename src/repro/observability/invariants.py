@@ -8,8 +8,8 @@ asserts, each tick:
 
 * **event queue monotonicity** — no pending event is due before ``now``,
   no time is NaN, the heap property holds, sequence numbers are unique;
-* **LocT plausibility** — entries were updated in the past, expire exactly
-  one TTL after their update, and carry finite coordinates;
+* **LocT plausibility** — the table's columns agree, and entries were
+  updated in the past and carry finite coordinates;
 * **CBF timer sanity** — every buffered packet holds a live, non-negative
   contention timer due at or after ``now`` and a positive forward RHL;
 * **ledger conservation** — every tracked packet has exactly one outcome,
@@ -163,19 +163,16 @@ class InvariantChecker:
     def _check_loct(self, node, now: float) -> None:
         loct = node.router.loct
         bound = self._position_bound
-        for entry in loct._entries.values():
+        try:
+            loct.check_consistency()
+        except ValueError as exc:
+            self._fail("LocT columns disagree", f"node={node.address} {exc}")
+        for entry in loct.entries():
             if entry.updated_at > now + _EPS:
                 self._fail(
                     "LocT entry updated in the future",
                     f"node={node.address} entry addr={entry.addr}"
                     f" updated_at={entry.updated_at:.6f} > now={now:.6f}",
-                )
-            if abs(entry.expires_at - (entry.updated_at + loct.ttl)) > _EPS:
-                self._fail(
-                    "LocT entry expiry inconsistent with its TTL",
-                    f"node={node.address} entry addr={entry.addr}"
-                    f" updated_at={entry.updated_at:.6f}"
-                    f" expires_at={entry.expires_at:.6f} ttl={loct.ttl:.6f}",
                 )
             x, y = entry.position.x, entry.position.y
             if not (math.isfinite(x) and math.isfinite(y)):

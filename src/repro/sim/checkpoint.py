@@ -42,7 +42,7 @@ from typing import Any, Dict
 
 #: Bump whenever the payload layout or the pickled object graph changes
 #: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: ``kind`` discriminator used in envelopes (and store records).
 CHECKPOINT_KIND = "checkpoint"

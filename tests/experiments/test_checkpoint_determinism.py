@@ -199,10 +199,18 @@ def _tampered_cases():
         envelope["seed"] = 999
         return envelope
 
+    def version_1(envelope):
+        # Version 1 pickled one entry object per location-table neighbour;
+        # restored into the columnar table it would crash mid-run, so it
+        # must be refused on its version alone.
+        envelope["version"] = 1
+        return envelope
+
     return {
         "corrupt_payload": corrupt_payload,
         "wrong_version": wrong_version,
         "wrong_identity": wrong_identity,
+        "version_1": version_1,
     }
 
 

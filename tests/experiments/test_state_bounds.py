@@ -103,7 +103,7 @@ def test_loct_and_done_set_stay_bounded(monkeypatch):
     for node in _all_nodes(world):
         loct = node.router.loct
         last_purge = loct._next_purge_at - loct.purge_interval
-        for entry in loct._entries.values():
+        for entry in loct.entries():
             assert entry.expires_at >= last_purge
         cbf = node.router.cbf
         last_sweep = cbf._next_done_sweep - 5.0  # _DONE_SWEEP_INTERVAL

@@ -1,5 +1,7 @@
 """Tests for the location table."""
 
+import gc
+
 import pytest
 
 from repro.geo.position import Position, PositionVector
@@ -90,28 +92,28 @@ def test_len_counts_all_entries_even_expired():
 
 def test_entries_are_neighbors_by_default():
     loct = LocationTable(ttl=20.0)
-    entry = loct.update(1, pv(100), now=0.0)
-    assert entry.is_neighbor
+    loct.update(1, pv(100), now=0.0)
+    assert loct.get(1, now=0.0).is_neighbor
 
 
 def test_indirect_update_not_a_neighbor():
     loct = LocationTable(ttl=20.0)
-    entry = loct.update(1, pv(100), now=0.0, neighbor=False)
-    assert not entry.is_neighbor
+    loct.update(1, pv(100), now=0.0, neighbor=False)
+    assert not loct.get(1, now=0.0).is_neighbor
 
 
 def test_indirect_update_never_downgrades_neighbor():
     loct = LocationTable(ttl=20.0)
     loct.update(1, pv(100), now=0.0)  # heard a beacon: neighbor
-    entry = loct.update(1, pv(130), now=1.0, neighbor=False)  # then via LS
-    assert entry.is_neighbor
+    loct.update(1, pv(130), now=1.0, neighbor=False)  # then via LS
+    assert loct.get(1, now=1.0).is_neighbor
 
 
 def test_beacon_upgrades_indirect_entry():
     loct = LocationTable(ttl=20.0)
     loct.update(1, pv(100), now=0.0, neighbor=False)
-    entry = loct.update(1, pv(130), now=1.0, neighbor=True)
-    assert entry.is_neighbor
+    loct.update(1, pv(130), now=1.0, neighbor=True)
+    assert loct.get(1, now=1.0).is_neighbor
 
 
 def test_contains_is_liveness_aware():
@@ -141,7 +143,7 @@ def test_purge_is_rate_limited_between_intervals():
     # point survives only until that purge.
     loct.update(4, pv(400), now=23.0)
     assert 2 not in loct
-    assert {3, 4} <= set(loct._entries)
+    assert {3, 4} <= {entry.addr for entry in loct.entries()}
 
 
 def test_table_stays_bounded_under_churn():
@@ -209,3 +211,60 @@ def test_update_many_never_downgrades_neighbor_flag():
     loct.update(1, pv(100, t=0.0), now=0.0, neighbor=True)
     loct.update_many([(1, pv(120, t=1.0))], now=1.0, neighbor=False)
     assert loct.get(1, now=1.0).is_neighbor is True
+
+
+# ----------------------------------------------------------------------
+# columnar storage
+# ----------------------------------------------------------------------
+def test_snapshots_are_read_only():
+    loct = LocationTable(ttl=10.0)
+    loct.update(1, pv(100), now=0.0)
+    entry = loct.get(1, now=0.0)
+    with pytest.raises(AttributeError):
+        entry.updated_at = 50.0
+    assert loct.get(1, now=11.0) is None
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda t: t._pvs.pop(1),
+        lambda t: t._stamps.update({1: t._stamps.pop(1)}),  # reorder
+        lambda t: t._indirect.add(99),
+    ],
+    ids=["missing-pv", "reordered-stamps", "stray-indirect"],
+)
+def test_check_consistency_flags_disagreeing_columns(corrupt):
+    loct = LocationTable(ttl=10.0)
+    loct.update(1, pv(100), now=0.0)
+    loct.update(2, pv(200), now=0.0, neighbor=False)
+    loct.check_consistency()
+    corrupt(loct)
+    with pytest.raises(ValueError):
+        loct.check_consistency()
+
+
+def _tracked_growth(fill) -> int:
+    gc.collect()
+    before = len(gc.get_objects())
+    fill()
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+def test_entries_allocate_no_tracked_objects():
+    """Storing entries must not cost one GC-tracked object per entry: the
+    table is columns, not a dict of entry objects."""
+    shared = pv(1.0)
+    pairs = [(addr, shared) for addr in range(5000)]
+    single = LocationTable(ttl=20.0)
+    bulk = LocationTable(ttl=20.0)
+
+    def fill():
+        for now in (0.0, 1.0):  # insert, then refresh
+            for addr, p in pairs:
+                single.update(addr, p, now)
+            bulk.update_many(pairs, now)
+
+    assert _tracked_growth(fill) < 50
+    assert len(single) == len(bulk) == 5000
