@@ -6,7 +6,8 @@ explicitly).  Asserts the harness's --quick mode finishes fast and emits
 well-formed JSON — it does not assert any absolute speed, since CI machines
 vary.  The two speed guards here are same-process ratios, where machine
 drift cancels out: the fleet 2x guard and the urban-vs-highway World guard.
-The fleet allocation guard counts objects, so it is deterministic.
+The fleet allocation, encode and stream guards count objects and calls, so
+they are deterministic.
 """
 
 import gc
@@ -177,18 +178,16 @@ def test_urban_world_wall_time_within_ratio_of_highway():
     )
 
 
-def test_fleet_world_allocates_no_object_per_loct_entry():
-    """Allocation guard: location tables are columns, not one heap object
-    per (receiver, neighbour) pair.  When every entry was an object, a
-    batched 10k-node highway held ~1.3M of them and the cyclic collector
-    spent half the run re-walking them; growth of GC-tracked objects over
-    ``World.run`` then came to ~1.0 per stored entry, against ~0.03 with
-    the columnar table.  Object counts do not depend on machine speed."""
+@pytest.fixture(scope="module")
+def fleet_highway_run():
+    """One 3 s batched, prepopulated 15 km highway (two lanes each way at
+    30 m spacing: 2,006 vehicles), with the counts the guards below read.
+
+    Every count here is a property of the code, not of machine speed."""
     from repro.experiments.config import ExperimentConfig, RoadConfig
     from repro.experiments.world import World
+    from repro.security import signing
 
-    max_per_entry = BUDGETS["fleet"]["max_tracked_objects_per_loct_entry"]
-    #: 15 km, two lanes each way at 30 m spacing: about 2,000 vehicles.
     road = RoadConfig(
         length=15_000.0, lanes_per_direction=2, directions=2,
         inter_vehicle_space=30.0, spawn=False,
@@ -196,12 +195,47 @@ def test_fleet_world_allocates_no_object_per_loct_entry():
     config = ExperimentConfig.inter_area_default(
         duration=3.0, seed=7, road=road, fleet_use_batched=True
     )
+    counts = {"encodes": 0, "messages": 0}
+    real_encode = signing.canonical_bytes
+    real_init = signing.SignedMessage.__init__
+
+    def counting_encode(body):
+        counts["encodes"] += 1
+        return real_encode(body)
+
+    def counting_init(self, *args, **kwargs):
+        counts["messages"] += 1
+        real_init(self, *args, **kwargs)
+
     world = World(config, attacked=False)
-    gc.collect()
-    before = len(gc.get_objects())
-    world.run()
-    gc.collect()
-    grown = len(gc.get_objects()) - before
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signing, "canonical_bytes", counting_encode)
+        patch.setattr(signing.SignedMessage, "__init__", counting_init)
+        gc.collect()
+        before = len(gc.get_objects())
+        world.run()
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+    streams = world.streams.state_snapshot()["streams"]
+    return {
+        "world": world,
+        "grown": grown,
+        "vehicles": len(world.nodes),
+        "beacon_streams": sum(name.startswith("beacon:") for name in streams),
+        **counts,
+    }
+
+
+def test_fleet_world_allocates_no_object_per_loct_entry(fleet_highway_run):
+    """Allocation guard: location tables are columns, not one heap object
+    per (receiver, neighbour) pair.  When every entry was an object, a
+    batched 10k-node highway held ~1.3M of them and the cyclic collector
+    spent half the run re-walking them; growth of GC-tracked objects over
+    ``World.run`` then came to ~1.0 per stored entry, against ~0.03 with
+    the columnar table.  Object counts do not depend on machine speed."""
+    max_per_entry = BUDGETS["fleet"]["max_tracked_objects_per_loct_entry"]
+    world = fleet_highway_run["world"]
+    grown = fleet_highway_run["grown"]
     nodes = list(world.nodes.values()) + list(world.dest_nodes)
     assert len(nodes) > 1900
     entries = sum(len(node.router.loct) for node in nodes)
@@ -210,4 +244,34 @@ def test_fleet_world_allocates_no_object_per_loct_entry():
         f"World.run grew {grown} tracked objects for {entries} LocT entries "
         f"({grown / entries:.2f} per entry; budget {max_per_entry}, ratchet "
         "in PERF_BUDGETS.json)"
+    )
+
+
+def test_fleet_beacon_is_encoded_once(fleet_highway_run):
+    """Encode-once guard: the fleet tick signs each beacon and verifies it
+    straight away, and both reuse one canonical encoding of the body.
+    Encoding twice (once to sign, once to verify) reads ~2.0 calls per
+    signed message here; with the reuse ~1.0."""
+    budget = BUDGETS["fleet"]["max_encodes_per_signed_message"]
+    messages = fleet_highway_run["messages"]
+    assert messages > fleet_highway_run["vehicles"] / 2  # most beaconed
+    per_message = fleet_highway_run["encodes"] / messages
+    assert per_message <= budget, (
+        f"{fleet_highway_run['encodes']} canonical_bytes calls for {messages} "
+        f"signed messages ({per_message:.3f} each; budget {budget}, ratchet "
+        "in PERF_BUDGETS.json)"
+    )
+
+
+def test_fleet_vehicles_seed_no_unused_stream(fleet_highway_run):
+    """Lazy-stream guard: a fleet vehicle's ``beacon:<seq>`` stream is
+    seeded on its first draw, and fleet vehicles seldom draw from it (their
+    beacons come from the batched tick).  Seeding every stream up front
+    reads 1.0 per vehicle here, about 2.5 KiB of generator state each."""
+    budget = BUDGETS["fleet"]["max_materialised_beacon_streams_per_vehicle"]
+    per_vehicle = fleet_highway_run["beacon_streams"] / fleet_highway_run["vehicles"]
+    assert per_vehicle <= budget, (
+        f"{fleet_highway_run['beacon_streams']} beacon streams seeded for "
+        f"{fleet_highway_run['vehicles']} vehicles ({per_vehicle:.3f} each; "
+        f"budget {budget}, ratchet in PERF_BUDGETS.json)"
     )

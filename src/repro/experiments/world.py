@@ -74,7 +74,9 @@ def reset_id_counters() -> None:
 
 
 def _fleet_member_active(node: GeoNode) -> bool:
-    return not (node.is_shut_down or node.is_down)
+    # The flags behind ``is_shut_down``/``is_down``, read directly: the
+    # fleet tick asks this for every due member.
+    return not (node._shut_down or node._down)
 
 
 def _member_extra_jitter(node: GeoNode) -> float:
@@ -388,9 +390,10 @@ class World:
             mobility=VehicleMobility(vehicle),
             tx_range=self.config.vehicle_range,
             # The per-node stream stays on both paths: CBF timer draws come
-            # from it, and keeping the allocation identical preserves the
-            # legacy path's bit-identity.
-            rng=self.streams.get(f"beacon:{seq}"),
+            # from it, and its name fixes its draws.  It is seeded on first
+            # draw: fleet vehicles, which beacon through the batched tick,
+            # seldom draw at all.
+            rng=self.streams.lazy(f"beacon:{seq}"),
             # Batched mode: the FleetBeaconScheduler beacons for everybody.
             beaconing=self.fleet is None,
             name=f"veh-{seq}",
@@ -433,7 +436,7 @@ class World:
                 # keeps the channel's fleet/non-fleet sets consistent.
                 self.fleet.remove(vehicle.fleet_slot)
                 vehicle.fleet_slot = None
-            self._detached_stats.update(node_stat_counters(node))
+            add_node_stats(self._detached_stats, node)
             node.shutdown()
 
     # ------------------------------------------------------------------
@@ -469,7 +472,7 @@ class World:
         counts the whole batch as delivered — router-level rejection
         (staleness) is not a channel event, exactly as with real frames.
         """
-        if node.is_shut_down or node.is_down:
+        if node._shut_down or node._down:  # no property calls per receiver
             return 0
         # Passive monitors see the batch *before* the router, mirroring the
         # per-frame path where the detector interposes ahead of the handler
@@ -753,7 +756,7 @@ class World:
         (whose stats are accumulated at detach time)."""
         totals = Counter(self._detached_stats)
         for node in list(self.nodes.values()) + list(self.dest_nodes):
-            totals.update(node_stat_counters(node))
+            add_node_stats(totals, node)
         return totals
 
     # ------------------------------------------------------------------
@@ -818,16 +821,30 @@ _STAT_SOURCES = (
 )
 
 
-def node_stat_counters(node: GeoNode) -> Counter:
-    """One node's protocol counters, flattened to ``prefix_field`` keys."""
-    counters: Counter = Counter()
+#: ``(prefix, stats type) -> ((counter key, field name), ...)``, filled on
+#: first use so totals over thousands of nodes skip per-field reflection.
+_STAT_KEYS: Dict[tuple, tuple] = {}
+
+
+def _stat_keys(prefix: str, stats) -> tuple:
+    keys = _STAT_KEYS.get((prefix, type(stats)))
+    if keys is None:
+        keys = _STAT_KEYS[(prefix, type(stats))] = tuple(
+            (f"{prefix}_{f.name}", f.name) for f in dataclasses.fields(stats)
+        )
+    return keys
+
+
+def add_node_stats(counters: Counter, node: GeoNode) -> None:
+    """Add one node's protocol counters, flattened to ``prefix_field``
+    keys, into ``counters``."""
     for prefix, getter in _STAT_SOURCES:
         stats = getter(node)
-        for f in dataclasses.fields(stats):
-            counters[f"{prefix}_{f.name}"] += getattr(stats, f.name)
+        for key, name in _stat_keys(prefix, stats):
+            counters[key] += getattr(stats, name)
     # DCC gates only exist with dcc_enabled; absent keys keep default-run
     # extras byte-identical.
     if node.dcc is not None:
-        for f in dataclasses.fields(node.dcc.stats):
-            counters[f"dcc_{f.name}"] += getattr(node.dcc.stats, f.name)
-    return counters
+        stats = node.dcc.stats
+        for key, name in _stat_keys("dcc", stats):
+            counters[key] += getattr(stats, name)

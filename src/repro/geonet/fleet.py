@@ -415,13 +415,13 @@ class FleetBeaconScheduler:
             keep.append(i)
             payloads.append(payload)
             entries.append(entry)
-            fleet.beacons_sent[slot] += 1
         if not payloads:
             return
         n_sent = len(payloads)
         self.beacons_sent += n_sent
         if len(keep) < due.size:
             due = due[np.array(keep, dtype=np.intp)]
+        fleet.beacons_sent[due] += 1
 
         channel = self._channel
         stats = channel.stats

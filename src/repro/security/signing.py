@@ -14,6 +14,21 @@ Two properties matter for the paper and are enforced (and unit-tested):
 * re-transmitting an existing :class:`SignedMessage` verbatim verifies fine
   regardless of who transmits it — authentication does not prove the
   link-layer sender is the signer.
+
+Two memos keep this cheap without changing a verdict:
+
+* **Encode once.**  The canonical encoding walks a body's dataclass fields
+  through a per-type cache of field names (no reflection per value), and
+  :func:`_signature_over` reuses the bytes of the body object it encoded
+  last, keyed on identity.  Every signed body is a frozen dataclass of
+  immutables, so a body's bytes cannot change while the memo holds it; a
+  beacon signed and verified straight away (the batched fleet tick) is
+  encoded once.  An equal but distinct body, or one made by
+  ``dataclasses.replace``, is a new object and is encoded again.
+* **Verify once.**  A :class:`SignedMessage` memoises its verdict, so every
+  receiver (and every replay of a capture) after the first pays nothing.
+  The memo is not an init field: ``dataclasses.replace`` builds a message
+  with no verdict, so a copy with a swapped body is checked afresh.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.security.certificates import Certificate, Credentials
 
@@ -68,30 +83,68 @@ def canonical_bytes(body: Any) -> bytes:
     return _encode(body).encode("utf-8")
 
 
+#: How :func:`_encode` writes instances of each type it has met: ``_REPR``,
+#: ``_SEQ``, ``_DICT``, or ``("Name(", field names)`` for a dataclass.
+#: Keyed on the type, so it grows with the number of body classes, not
+#: with the number of messages.
+_SHAPES: Dict[type, Any] = {}
+_REPR, _SEQ, _DICT = "repr", "seq", "dict"
+
+
+def _shape_of(cls: type) -> Any:
+    """The encoding of ``cls`` instances, tested in the same order as the
+    branches of the reflective encoder this cache replaced."""
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        return (f"{cls.__name__}(", names)
+    if issubclass(cls, (float, str, int, bool, bytes, type(None))):
+        return _REPR
+    if issubclass(cls, (tuple, list)):
+        return _SEQ
+    if issubclass(cls, dict):
+        return _DICT
+    # Enums and anything else with a stable repr.
+    return _REPR
+
+
 def _encode(value: Any) -> str:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ",".join(
-            f"{f.name}={_encode(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__name__}({fields})"
-    if isinstance(value, float):
+    cls = type(value)
+    shape = _SHAPES.get(cls)
+    if shape is None:
+        shape = _SHAPES[cls] = _shape_of(cls)
+    if shape is _REPR:
         return repr(value)
-    if isinstance(value, (str, int, bool, bytes)) or value is None:
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_encode(v) for v in value) + "]"
-    if isinstance(value, dict):
+    if shape is _SEQ:
+        return "[" + ",".join([_encode(v) for v in value]) + "]"
+    if shape is _DICT:
         items = sorted(value.items())
         return "{" + ",".join(f"{_encode(k)}:{_encode(v)}" for k, v in items) + "}"
-    # Enums and anything else with a stable repr.
-    return repr(value)
+    head, names = shape
+    return (
+        head
+        + ",".join([f"{name}={_encode(getattr(value, name))}" for name in names])
+        + ")"
+    )
+
+
+#: ``(body, canonical_bytes(body))`` for the body encoded last.  Holding the
+#: body keeps its identity from being reused by another object.
+_last_encoded: Tuple[Any, bytes] = (object(), b"")
+
+
+def _body_bytes(body: Any) -> bytes:
+    global _last_encoded
+    last_body, data = _last_encoded
+    if last_body is not body:
+        data = canonical_bytes(body)
+        _last_encoded = (body, data)
+    return data
 
 
 def _signature_over(body: Any, private_token: str) -> str:
     digest = hashlib.sha256()
     digest.update(private_token.encode("utf-8"))
-    digest.update(canonical_bytes(body))
+    digest.update(_body_bytes(body))
     return digest.hexdigest()
 
 
@@ -102,13 +155,16 @@ class SignedMessage:
     Verification results are memoized per object: a message is checked once
     no matter how many receivers hear it (or how many times an attacker
     replays the same capture), which keeps large simulations fast without
-    changing semantics.
+    changing semantics.  The memo is not an ``__init__`` argument, so
+    ``dataclasses.replace`` never carries a verdict over to a new body.
     """
 
     body: Any
     certificate: Certificate
     signature: str
-    _verified: Optional[bool] = field(default=None, compare=False, repr=False)
+    _verified: Optional[bool] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def cached_verdict(self) -> Optional[bool]:
         """The memoized verification verdict, if any."""

@@ -21,11 +21,34 @@ def _derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class LazyStream:
+    """A named stdlib stream of a :class:`RandomStreams`, created on first
+    use (see :meth:`RandomStreams.lazy`).
+
+    Public ``random.Random`` methods are forwarded to ``streams.get(name)``,
+    so the stream lives, and is checkpointed, in its factory like any
+    other."""
+
+    __slots__ = ("_streams", "_name")
+
+    def __init__(self, streams: "RandomStreams", name: str):
+        self._streams = streams
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        # Private and dunder lookups (pickle, copy) must not reach the
+        # slots, which are unset while an instance is being unpickled.
+        if attr.startswith("_"):
+            raise AttributeError(attr)
+        return getattr(self._streams.get(self._name), attr)
+
+
 class RandomStreams:
     """A factory of independent, reproducible random streams.
 
     ``streams.get("beacon")`` always returns the same :class:`random.Random`
-    object for a given instance, seeded purely from ``(root_seed, "beacon")``.
+    object for a given instance, seeded purely from ``(root_seed, "beacon")``;
+    ``streams.lazy("beacon")`` defers creating it to the first draw.
     """
 
     def __init__(self, root_seed: int):
@@ -46,6 +69,16 @@ class RandomStreams:
             stream = random.Random(_derive_seed(self._root_seed, name))
             self._streams[name] = stream
         return stream
+
+    def lazy(self, name: str) -> "LazyStream":
+        """A handle on the stream ``name`` that seeds it on its first draw.
+
+        The handle draws exactly what :meth:`get` would: the seed derives
+        from the name alone, so seeding late changes no draw.  A holder
+        that may never draw (a fleet vehicle, whose beacons come from the
+        batched tick) costs a small handle instead of a seeded Mersenne
+        Twister of about 2.5 KiB."""
+        return LazyStream(self, name)
 
     def get_numpy(self, name: str) -> np.random.Generator:
         """Return the (cached) numpy generator for ``name``."""

@@ -288,9 +288,17 @@ class TrafficSimulation:
         if not lane_vehicles:
             return
         n = len(lane_vehicles)
-        progress = np.array([v.progress for v in lane_vehicles])
+        # One list per attribute: no per-vehicle tuple, which the cyclic
+        # collector would count.  Progress is Vehicle.progress
+        # (Lane.progress) for the whole lane at once.
+        xs = np.array([v.x for v in lane_vehicles])
+        if lane.direction is Direction.EAST:
+            progress = xs
+        else:
+            progress = lane.road_length - xs
         speeds = np.array([v.speed for v in lane_vehicles])
         lengths = np.array([v.length for v in lane_vehicles])
+        forced = [v.forced_acceleration for v in lane_vehicles]
         gaps = np.full(n, np.inf)
         lead_speeds = np.zeros(n)
         if n > 1:
@@ -319,31 +327,48 @@ class TrafficSimulation:
         accel = idm_acceleration_array(
             speeds, gaps, lead_speeds, self.params, desired_velocities=desired
         )
-        for i, vehicle in enumerate(lane_vehicles):
-            if vehicle.forced_acceleration is not None:
-                accel[i] = vehicle.forced_acceleration
+        if forced.count(None) != n:
+            for i, value in enumerate(forced):
+                if value is not None:
+                    accel[i] = value
         new_speeds = np.maximum(0.0, speeds + accel * self.dt)
         new_progress = progress + new_speeds * self.dt
         # Hard anti-overlap guard: IDM with sane parameters never rear-ends,
-        # but forced profiles or extreme spawns could; count and clamp.
-        for i in range(n - 2, -1, -1):
-            limit = new_progress[i + 1] - (lengths[i + 1] + lengths[i]) / 2 - 0.1
-            if new_progress[i] > limit:
-                self.rear_end_contacts += 1
-                new_progress[i] = limit
-                new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
+        # but forced profiles or extreme spawns could; count and clamp.  The
+        # vectorised test finds whether any follower overlaps its unclamped
+        # leader; only then does the sequential clamp (whose limits depend
+        # on the clamps ahead of them) run.
+        if n > 1 and (
+            new_progress[:-1]
+            > new_progress[1:] - (lengths[1:] + lengths[:-1]) / 2 - 0.1
+        ).any():
+            self._clamp_overlaps(new_progress, new_speeds, lengths)
         if lane.direction is Direction.EAST:
             new_x = new_progress
         else:
             new_x = self.road.length - new_progress
-        for i, vehicle in enumerate(lane_vehicles):
-            vehicle.speed = float(new_speeds[i])
-            vehicle.x = float(new_x[i])
+        for vehicle, speed, x in zip(
+            lane_vehicles, new_speeds.tolist(), new_x.tolist()
+        ):
+            vehicle.speed = speed
+            vehicle.x = x
         if self._fleet is not None:
             slots = self._fleet_lane_slots(lane.index, lane_vehicles)
             if slots is not None:
                 self._fleet.x[slots] = new_x
                 self._fleet.speed[slots] = new_speeds
+
+    def _clamp_overlaps(
+        self, new_progress: np.ndarray, new_speeds: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """Clamp each follower behind its (already clamped) leader, front
+        to back, counting every contact."""
+        for i in range(len(new_progress) - 2, -1, -1):
+            limit = new_progress[i + 1] - (lengths[i + 1] + lengths[i]) / 2 - 0.1
+            if new_progress[i] > limit:
+                self.rear_end_contacts += 1
+                new_progress[i] = limit
+                new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
 
     def _fleet_lane_slots(
         self, lane_index: int, lane_vehicles: List[Vehicle]

@@ -1,9 +1,10 @@
 """Tests for message signing — the properties the threat model rests on."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.security import signing
 from repro.security.ca import CertificateAuthority
 from repro.security.certificates import Certificate, Credentials
 from repro.security.signing import (
@@ -123,3 +124,55 @@ def test_canonical_bytes_handles_nested_structures():
 
 def test_canonical_bytes_distinguishes_float_precision():
     assert canonical_bytes(Body(1, "0.1")) != canonical_bytes(Body(1, "0.10"))
+
+
+def test_replace_does_not_carry_the_verdict_to_a_new_body(creds):
+    """The memoised verdict belongs to the body it was computed over: a
+    ``dataclasses.replace`` copy with another body is checked afresh."""
+    message = sign(Body(1), creds)
+    assert verify(message)
+    swapped = replace(message, body=Body(2))
+    assert swapped.cached_verdict() is None
+    assert not verify(swapped)
+    assert verify(replace(message))  # same body, same signature: still valid
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The bodies :func:`canonical_bytes` is called on, in order."""
+    seen = []
+    real = signing.canonical_bytes
+
+    def counting(body):
+        seen.append(body)
+        return real(body)
+
+    monkeypatch.setattr(signing, "canonical_bytes", counting)
+    return seen
+
+
+def test_sign_then_verify_encodes_the_body_once(creds, encodes):
+    body = Body(1)
+    message = sign(body, creds)
+    verify(message)
+    assert encodes == [body]
+
+
+def test_equal_but_distinct_body_is_encoded_again(creds, encodes):
+    message = sign(Body(1), creds)
+    twin = Body(1)
+    copy = SignedMessage(
+        body=twin, certificate=message.certificate, signature=message.signature
+    )
+    assert verify(copy)
+    assert len(encodes) == 2 and encodes[-1] is twin
+
+
+def test_replaced_body_is_encoded_again(creds, encodes):
+    message = sign(Body(1), creds)
+    moved = replace(message.body, text="y")
+    assert not verify(replace(message, body=moved))
+    unchanged = replace(message.body)
+    assert verify(replace(message, body=unchanged))
+    assert encodes[1:] == [moved, unchanged]
+    assert encodes[2] is unchanged

@@ -1,5 +1,9 @@
 """Tests for deterministic named random streams."""
 
+import pickle
+
+import pytest
+
 from repro.sim.random import RandomStreams, _derive_seed
 
 
@@ -70,3 +74,33 @@ def test_derive_seed_stable_and_name_sensitive():
     assert _derive_seed(1, "a") == _derive_seed(1, "a")
     assert _derive_seed(1, "a") != _derive_seed(1, "b")
     assert _derive_seed(1, "a") != _derive_seed(2, "a")
+
+
+def test_lazy_stream_seeds_on_first_draw_and_draws_like_get():
+    streams = RandomStreams(4)
+    handle = streams.lazy("beacon:7")
+    assert "beacon:7" not in streams.state_snapshot()["streams"]
+    draws = [handle.uniform(0, 1), handle.random(), handle.randrange(10)]
+    assert "beacon:7" in streams.state_snapshot()["streams"]
+    eager = RandomStreams(4).get("beacon:7")
+    assert draws == [eager.uniform(0, 1), eager.random(), eager.randrange(10)]
+    # The handle and get() share one generator.
+    assert streams.get("beacon:7").random() == eager.random()
+    assert handle.random() == eager.random()
+
+
+def test_lazy_stream_survives_pickling_with_its_factory():
+    streams = RandomStreams(4)
+    unused, used = streams.lazy("a"), streams.lazy("b")
+    used.random()
+    copy_streams, copy_unused, copy_used = pickle.loads(
+        pickle.dumps((streams, unused, used))
+    )
+    assert copy_used.random() == used.random()
+    assert copy_unused.random() == unused.random()
+    assert copy_streams.get("a") is copy_streams.get("a")
+
+
+def test_lazy_stream_forwards_no_private_name():
+    with pytest.raises(AttributeError):
+        RandomStreams(1).lazy("x")._missing

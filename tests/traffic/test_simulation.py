@@ -292,3 +292,68 @@ def test_negative_runout_rejected():
         TrafficSimulation(
             RoadSegment(length=100.0, lanes_per_direction=1), runout=-1.0
         )
+
+
+def _cascade_lanes():
+    """Both directions: a hard-braking leader, three followers forced to
+    accelerate 5 m behind each other and one IDM car at the back."""
+    traffic = make_sim(
+        road=RoadSegment(length=1000.0, lanes_per_direction=1, directions=2)
+    )
+    vehicles = []
+    for lane in traffic.road.lanes:
+        for k in range(5):
+            progress = 500.0 - 5.0 * k
+            x = progress if lane.direction is Direction.EAST else 1000.0 - progress
+            vehicle = Vehicle(
+                lane=lane,
+                x=x,
+                speed=20.0 + k,
+                speed_factor=1.0 + 0.01 * k,
+                forced_acceleration=-9.0 if k == 0 else (2.0 if k < 4 else None),
+            )
+            traffic.add_vehicle(vehicle)
+            vehicles.append(vehicle)
+    return traffic, vehicles
+
+
+def test_rear_end_cascade_takes_the_sequential_clamp(monkeypatch):
+    """Each follower is clamped behind a leader that was clamped itself, so
+    only the front-to-back loop gets the limits right.  The expected state
+    was captured from the lane step before it was vectorised (which ran
+    that loop on every step) and must not move by a bit."""
+    clamps = []
+    real_clamp = TrafficSimulation._clamp_overlaps
+
+    def counting_clamp(self, *args):
+        clamps.append(self.rear_end_contacts)
+        real_clamp(self, *args)
+
+    monkeypatch.setattr(TrafficSimulation, "_clamp_overlaps", counting_clamp)
+    traffic, vehicles = _cascade_lanes()
+    step_for(traffic, 2.0)
+    assert clamps  # the overlap check sent the lanes to the sequential loop
+    assert traffic.rear_end_contacts == 110
+    assert [(v.speed, v.x) for v in vehicles] == [
+        (2.0000000000000013, 521.1),
+        (2.0000000000000013, 516.5),
+        (2.0000000000000013, 511.9),
+        (2.0000000000000013, 507.29999999999995),
+        (1.7921590493486885, 481.730974370239),
+        (2.0000000000000013, 478.9),
+        (2.0000000000000013, 483.5),
+        (2.0000000000000013, 488.1),
+        (2.0000000000000013, 492.70000000000005),
+        (1.7921590493486852, 518.2690256297608),
+    ]
+
+
+def test_lane_without_overlap_skips_the_sequential_clamp(monkeypatch):
+    def fail(*_args):
+        raise AssertionError("clamp loop ran without an overlap")
+
+    monkeypatch.setattr(TrafficSimulation, "_clamp_overlaps", fail)
+    traffic = make_sim(road=RoadSegment(length=5000.0, directions=2))
+    traffic.populate(spacing=30.0)
+    step_for(traffic, 2.0)
+    assert traffic.rear_end_contacts == 0
